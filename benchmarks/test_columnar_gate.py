@@ -18,8 +18,9 @@ process-wide :class:`~repro.items.columnar.ColumnBatchCache` are warm,
 so the on side re-reads shredded batches (cache residency is part of
 the subsystem under test — the ``cache_hits`` counter recorded next to
 the timings proves it fired).  A cold-cache round (cache cleared before
-every run) is recorded informationally: it isolates the shredding cost
-itself, which roughly breaks even on filter and still wins on group.
+every run) isolates the ingest cost itself — read, decode, shred and
+box — and must not fall below COLD_FLOOR: columnar on a first query over
+a new file may not be slower than the row scan it replaces.
 
 Results land in ``BENCH_pr9.json`` via the session recorder, next to
 the ``rumble.columnar.*`` counters proving the kernels fired.
@@ -28,8 +29,8 @@ Assertions:
 
 * always: results are byte-identical on/off for both workloads; the
   columnar counters (scans, shredded rows, kernels, cache hits) are
-  non-zero with columnar on and absent with it off; both speedups
-  reach FLOOR;
+  non-zero with columnar on and absent with it off; both warm speedups
+  reach FLOOR and both cold speedups reach COLD_FLOOR;
 * with ``RUMBLE_BENCH_GATE=1`` (the CI job): both warm speedups must
   reach TARGET (2x).
 
@@ -61,6 +62,10 @@ ROUNDS = 5
 FLOOR = 1.3
 #: The win CI enforces on the warm path for both workloads.
 TARGET = 2.0
+#: The cold-cache floor for both workloads (observed: ~1.0 on filter
+#: and ~1.6 on group with chunked reads, scanner decode and
+#: column-at-a-time shredding; 0.78-0.88 on filter before them).
+COLD_FLOOR = 0.9
 
 WORKLOADS = ("filter", "group")
 
@@ -103,7 +108,7 @@ def _measure(engines, query: str, rounds: int = ROUNDS) -> Dict:
 
 def _measure_cold(engines, query: str, rounds: int = 3) -> Dict[str, float]:
     """Best-of-N with the batch cache cleared before every run: the
-    shredding cost itself, recorded informationally."""
+    ingest cost itself."""
     best = {"on": float("inf"), "off": float("inf")}
     for _ in range(rounds):
         for side in ("on", "off"):
@@ -139,6 +144,11 @@ def columnar_figures(confusion_path, bench_record) -> Dict[str, Dict]:
         counters_on = _columnar_counters(engines["on"], query)
         counters_off = _columnar_counters(engines["off"], query)
         cold = _measure_cold(engines, query)
+        for _ in range(2):  # the same re-measure-on-noise pattern
+            if cold["off"] / cold["on"] >= COLD_FLOOR:
+                break
+            retry = _measure_cold(engines, query)
+            cold = {side: min(cold[side], retry[side]) for side in cold}
         figure = {
             "kind": kind,
             "seconds_on": round(best["on"]["wall"], 4),
@@ -191,3 +201,11 @@ def test_warm_speedup(columnar_figures, kind):
     assert speedup >= FLOOR, columnar_figures[kind]
     if GATE:
         assert speedup >= TARGET, columnar_figures[kind]
+
+
+@pytest.mark.parametrize("kind", WORKLOADS)
+def test_cold_speedup(columnar_figures, kind):
+    """A first query over a new file: with the batch cache cleared
+    before every run, columnar must not lose to the row path."""
+    assert columnar_figures[kind]["cold_speedup"] >= COLD_FLOOR, \
+        columnar_figures[kind]

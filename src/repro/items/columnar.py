@@ -16,7 +16,8 @@ tight per-column loops — three-valued predicate masks for pushdown and
 vectorized single-numeric kernels reusing the static-type contracts —
 and *unshredding* rebuilds, per surviving row, the exact record dict the
 row-at-a-time scan would have handed to ``LazyObjectItem``, so boxing at
-the boundary is result-identical by construction.
+the boundary is result-identical by construction (a scan that has just
+decoded the block boxes those decoded records instead).
 
 A process-wide :class:`ColumnBatchCache` keeps shredded blocks keyed by
 the file block's byte range and stat fingerprint (failfast reads only:
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import operator
 from collections import OrderedDict
+from itertools import accumulate, chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.jsoniq.jsonlines import LazyObjectItem, _wrap_fast
 from repro.sanitizer import san_lock, shared_state
 
 #: Per-row, per-column validity codes.
@@ -99,25 +102,23 @@ def _union_kinds(seen: Optional[str], kind: Optional[str]) -> Optional[str]:
     return KIND_MIXED
 
 
+#: The value types a column of each kind holds; None (JSON null) fits
+#: every kind, and a ``mixed`` column holds anything.
+_NONE = type(None)
+_FITS = {
+    KIND_STRING: frozenset((str, _NONE)),
+    KIND_BOOLEAN: frozenset((bool, _NONE)),
+    KIND_INTEGER: frozenset((int, _NONE)),
+    KIND_DOUBLE: frozenset((float, _NONE)),
+    KIND_NUMBER: frozenset((int, float, _NONE)),
+    KIND_LIST: frozenset((list, _NONE)),
+}
+
+
 def _value_fits(kind: str, value) -> bool:
     """Whether ``value`` can live in a column of ``kind`` without
     widening it (nulls fit everywhere)."""
-    if value is None or kind == KIND_MIXED:
-        return True
-    t = type(value)
-    if kind == KIND_STRING:
-        return t is str
-    if kind == KIND_BOOLEAN:
-        return t is bool
-    if kind == KIND_INTEGER:
-        return t is int and not isinstance(value, bool)
-    if kind == KIND_DOUBLE:
-        return t is float
-    if kind == KIND_NUMBER:
-        return (t is int or t is float) and not isinstance(value, bool)
-    if kind == KIND_LIST:
-        return t is list
-    return False
+    return kind == KIND_MIXED or type(value) in _FITS[kind]
 
 
 class BlockSchema:
@@ -174,10 +175,6 @@ class Column:
         self.values: List[object] = []
         self.validity: List[int] = []
 
-    def append(self, value, flag: int) -> None:
-        self.values.append(value)
-        self.validity.append(flag)
-
     def read(self, row: int):
         """The raw value at ``row``: :data:`ABSENT`, None (JSON null) or
         the stored scalar."""
@@ -191,7 +188,8 @@ class Column:
 
 
 class ListColumn(Column):
-    """Nested lists as an offset array over one flat member vector."""
+    """Nested lists as an offset array over one flat member vector
+    (``values`` holds None: the offsets rule)."""
 
     __slots__ = ("offsets", "flat")
 
@@ -199,13 +197,6 @@ class ListColumn(Column):
         super().__init__(KIND_LIST)
         self.offsets: List[int] = [0]
         self.flat: List[object] = []
-
-    def append(self, value, flag: int) -> None:
-        if flag == PRESENT:
-            self.flat.extend(value)
-        self.offsets.append(len(self.flat))
-        self.values.append(None)  # scalar slot unused; offsets rule
-        self.validity.append(flag)
 
     def read(self, row: int):
         flag = self.validity[row]
@@ -266,15 +257,7 @@ class ColumnBatch:
     def unshred_row(self, row: int, verified: bool = False):
         """Box one row back into an Item — byte-identical to what the
         row-at-a-time scan builds for the same record."""
-        from repro.jsoniq.jsonlines import LazyObjectItem, _wrap_fast
-
-        record = self.rebuild_record(row)
-        if type(record) is dict:
-            item = LazyObjectItem(record)
-            if verified:
-                item.pushdown_verified = True
-            return item
-        return _wrap_fast(record)
+        return box_record(self.rebuild_record(row), verified)
 
     def iter_items(self) -> Iterator[object]:
         """Every row boxed, in row order (the plain boundary, no mask)."""
@@ -420,18 +403,32 @@ def _scalar_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
     return None
 
 
+def box_record(record, verified: bool = False):
+    """Box one decoded record the way the row-at-a-time scan does."""
+    if type(record) is dict:
+        item = LazyObjectItem(record)
+        if verified:
+            item.pushdown_verified = True
+        return item
+    return _wrap_fast(record)
+
+
 class MaskedBatch:
     """A batch plus this query's per-row predicate statuses.
 
     The batch itself may be shared through the cache; the statuses are
-    private to one scan.
+    private to one scan.  ``records``, when the scan just decoded the
+    block, holds the decoded records in row order: boxing then wraps
+    them instead of rebuilding each row from the columns.
     """
 
-    __slots__ = ("batch", "statuses")
+    __slots__ = ("batch", "statuses", "records")
 
-    def __init__(self, batch: ColumnBatch, statuses: List[int]):
+    def __init__(self, batch: ColumnBatch, statuses: List[int],
+                 records: Optional[List[object]] = None):
         self.batch = batch
         self.statuses = statuses
+        self.records = records
 
     @property
     def row_count(self) -> int:
@@ -443,11 +440,13 @@ class MaskedBatch:
     def iter_boxed(self):
         """Box every surviving row in row order — the automatic boundary
         to operators that still pull one Item at a time."""
-        batch = self.batch
+        records = self.records
+        record_at = (self.batch.rebuild_record if records is None
+                     else records.__getitem__)
         for row, status in enumerate(self.statuses):
             if status == PRUNED:
                 continue
-            yield batch.unshred_row(row, verified=status == VERIFIED)
+            yield box_record(record_at(row), status == VERIFIED)
 
 
 def shred_records(records: Sequence[object],
@@ -458,106 +457,91 @@ def shred_records(records: Sequence[object],
     in-order subsequence of the schema keys (so unshredding reproduces
     the original key order exactly) and whose values fit their columns'
     kinds; every other row takes the escape hatch.
+
+    Columns are built one key at a time over the rows whose key tuple is
+    exactly the schema's, with one type check per column; only the
+    other rows, and rows holding a value of a misfit type, are looked at
+    one by one.
     """
     schema = infer_schema(records, sample)
-    escaped: Dict[int, object] = {}
+    count = len(records)
     if schema is None:
-        return ColumnBatch(
-            None, {}, len(records),
-            {row: record for row, record in enumerate(records)},
+        return ColumnBatch(None, {}, count, dict(enumerate(records)))
+    keys = schema.keys
+    kinds = schema.kinds
+    odd = [row for row, record in enumerate(records)
+           if type(record) is not dict or tuple(record) != keys]
+    rows = records
+    escape = set()
+    sparse = []  # odd rows that still shred: keys missing, none re-ordered
+    if odd:
+        # Odd rows read as all-null here and are patched below.
+        rows = list(records)
+        blank = dict.fromkeys(keys)
+        for row in odd:
+            rows[row] = blank
+            if _row_fits(records[row], schema):
+                sparse.append(row)
+            else:
+                escape.add(row)
+    vectors = [[record[key] for record in rows] for key in keys]
+    validities = []
+    for key, values in zip(keys, vectors):
+        types = set(map(type, values))
+        fits = _FITS.get(kinds[key])
+        if fits is not None and not types <= fits:
+            escape.update(row for row, value in enumerate(values)
+                          if type(value) not in fits)
+        validities.append(
+            [NULL if value is None else PRESENT for value in values]
+            if _NONE in types else [PRESENT] * count
         )
-    columns: Dict[str, Column] = {
-        key: (ListColumn() if schema.kinds[key] == KIND_LIST
-              else Column(schema.kinds[key]))
-        for key in schema.keys
-    }
+    # Patched only now: a misfit in any column escapes its whole row.
+    columns: Dict[str, Column] = {}
+    for key, values, validity in zip(keys, vectors, validities):
+        for row in sparse:
+            value = records[row].get(key, ABSENT)
+            if value is ABSENT:
+                validity[row] = MISSING
+            elif value is not None:
+                values[row] = value
+                validity[row] = PRESENT
+        for row in escape:
+            values[row] = None
+            validity[row] = MISSING
+        if kinds[key] == KIND_LIST:
+            column = ListColumn()
+            column.flat = list(chain.from_iterable(filter(None, values)))
+            column.offsets = list(accumulate(
+                [0 if value is None else len(value) for value in values],
+                initial=0,
+            ))
+            values = [None] * count
+        else:
+            column = Column(kinds[key])
+        column.values = values
+        column.validity = validity
+        columns[key] = column
+    escaped = {row: records[row] for row in sorted(escape)}
+    return ColumnBatch(schema, columns, count, escaped)
+
+
+def _row_fits(record, schema: BlockSchema) -> bool:
+    """Whether one record shreds: an object whose keys are an in-order
+    subsequence of the schema's, each value fitting its column."""
+    if type(record) is not dict:
+        return False
     index = schema.index
     kinds = schema.kinds
-    ordered = list(columns.items())
-    for row, record in enumerate(records):
-        fits = type(record) is dict
-        if fits:
-            previous = -1
-            for key, value in record.items():
-                position = index.get(key)
-                if position is None or position <= previous or not _value_fits(
-                    kinds[key], value
-                ):
-                    fits = False
-                    break
-                previous = position
-        if not fits:
-            escaped[row] = record
-            for _, column in ordered:
-                column.append(None, MISSING)
-            continue
-        for key, column in ordered:
-            value = record.get(key, ABSENT)
-            if value is ABSENT:
-                column.append(None, MISSING)
-            elif value is None:
-                column.append(None, NULL)
-            else:
-                column.append(value, PRESENT)
-    return ColumnBatch(schema, columns, len(records), escaped)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized single-numeric arithmetic (PR 3's static-type contract)
-# ---------------------------------------------------------------------------
-
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
-
-
-def vector_arith(column: Column, op: str, operand) -> Column:
-    """Apply ``column <op> operand`` element-wise over a numeric column.
-
-    Supports the operators the static typer proves single-numeric
-    (``+ - *``); result kinds follow ``make_numeric``: integer when both
-    sides are integers, double as soon as either side is a double —
-    exactly what boxing each pair through ``compute_arithmetic`` yields.
-    Null and missing entries pass through untouched (the boxed path
-    would raise or emit empty on them before the operator applies, so
-    consumers must route such rows to the reference path).
-    """
-    if op not in _ARITH_OPS:
-        raise ValueError("unsupported vector arithmetic operator " + op)
-    if column.kind not in (KIND_INTEGER, KIND_DOUBLE, KIND_NUMBER):
-        raise ValueError(
-            "vector arithmetic needs a numeric column, got " + column.kind
-        )
-    if not isinstance(operand, (int, float)) or isinstance(operand, bool):
-        raise ValueError("vector arithmetic needs a numeric operand")
-    py_op = _ARITH_OPS[op]
-    if column.kind == KIND_INTEGER and isinstance(operand, int):
-        kind = KIND_INTEGER
-    elif column.kind == KIND_DOUBLE or isinstance(operand, float):
-        kind = KIND_DOUBLE
-    else:
-        kind = KIND_NUMBER
-    out = Column(kind)
-    out.values = [
-        py_op(value, operand) if flag == PRESENT else None
-        for value, flag in zip(column.values, column.validity)
-    ]
-    out.validity = list(column.validity)
-    return out
-
-
-def vector_compare(column: Column, value_op: str, operand
-                   ) -> List[Optional[bool]]:
-    """Element-wise three-valued comparison of a column against a scalar
-    — the standalone form of the predicate-mask kernel."""
-    py_op = _PY_OPS[value_op]
-    eq_family = value_op in ("eq", "ne")
-    return [
-        _scalar_verdict(column.read(row), operand, py_op, eq_family)
-        for row in range(len(column.validity))
-    ]
+    previous = -1
+    for key, value in record.items():
+        position = index.get(key)
+        if position is None or position <= previous or not _value_fits(
+            kinds[key], value
+        ):
+            return False
+        previous = position
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,9 @@ class JsonFileIterator(RuntimeIterator):
         Shredded batches are cached process-wide by block fingerprint,
         but only under ``failfast`` parsing: the tolerant modes report
         every malformed line to the fault ledger per scan, which a cache
-        hit would silence.
+        hit would silence.  A scan that decoded its block hands the
+        decoded records to its own batch, so boxing wraps them; the
+        cached batch keeps only the columns.
         """
         from repro.items.columnar import BATCH_CACHE, PRUNED, MaskedBatch
         from repro.jsoniq.jsonlines import shred_json_lines
@@ -290,12 +292,15 @@ class JsonFileIterator(RuntimeIterator):
                 if key is not None:
                     batch = BATCH_CACHE.get(key)
             hit = batch is not None
+            records = None
             if batch is None:
+                records = []
                 batch = shred_json_lines(
                     block.read_lines(decode_errors=decode_errors),
                     mode=mode,
                     corrupt_field=corrupt_field,
                     on_malformed=on_malformed,
+                    records=records,
                 )
                 if key is not None:
                     BATCH_CACHE.put(key, batch)
@@ -326,7 +331,7 @@ class JsonFileIterator(RuntimeIterator):
                         else "(no objects sampled)"
                     ),
                 )
-            yield MaskedBatch(batch, statuses)
+            yield MaskedBatch(batch, statuses, records)
 
         return RDD(
             context_, compute, len(blocks),

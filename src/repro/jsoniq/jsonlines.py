@@ -1,14 +1,20 @@
-"""Streaming JSON-Lines decoding straight into items.
+"""JSON-Lines decoding straight into items.
 
 The paper's Section 5.7 uses the JSONiter streaming parser to build items
-directly, skipping an intermediate generic-JSON representation.  This
-module plays that role: a small recursive-descent JSON parser whose
-terminal productions construct :mod:`repro.items` instances directly.
+directly, skipping an intermediate generic-JSON representation.  CPython
+inverts that trade-off: its C ``json`` scanner plus one wrapping walk is
+far faster than any pure-Python streaming parser, so every read path
+here decodes through :func:`_decode_lines`, which calls the scanner
+directly and falls back to ``json.loads`` only for lines it does not
+consume whole.  Items wrap lazily (:class:`LazyObjectItem`), so a query
+pays only for the values it touches.  The recursive-descent parser this
+module once held is kept as a test oracle (``tests/ingest_oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+import json
+from typing import Iterator
 
 from repro.items import (
     FALSE,
@@ -23,41 +29,13 @@ from repro.items import (
 )
 from repro.jsoniq.errors import DynamicException
 
-_WHITESPACE = " \t\r\n"
-_ESCAPES = {
-    '"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
-    "n": "\n", "r": "\r", "t": "\t",
-}
-
 
 class JsonSyntaxError(DynamicException):
     default_code = "SENR0002"
 
 
-def parse_json_line_pure(text: str) -> Item:
-    """Parse one JSON value into an item with the pure streaming parser,
-    requiring full consumption.  This is the faithful port of the
-    JSONiter design; :func:`parse_json_line` is the production fast path."""
-    item, position = _parse_value(text, _skip_ws(text, 0))
-    position = _skip_ws(text, position)
-    if position != len(text):
-        raise JsonSyntaxError(
-            "trailing characters after JSON value at offset {}".format(position)
-        )
-    return item
-
-
 def parse_json_line(text: str) -> Item:
-    """Parse one JSON value into an item.
-
-    CPython inverts the paper's JSONiter trade-off: the C-accelerated
-    ``json`` decoder plus a single wrapping walk is far faster than any
-    pure-Python streaming parser, so that is the production path.  The
-    streaming decoder above stays as the reference implementation; the
-    test suite checks both produce identical items.
-    """
-    import json
-
+    """Parse one JSON value into an item."""
     try:
         return _wrap_fast(json.loads(text))
     except ValueError as error:
@@ -183,6 +161,67 @@ PARSE_MODES = ("failfast", "permissive", "dropmalformed")
 CORRUPT_RECORD_FIELD = "_corrupt_record"
 
 
+#: The C scanner under ``json.loads``.  Called directly it skips the
+#: per-call type, BOM and whitespace checks of ``loads``; like ``loads``
+#: it keeps no state between calls, so threads may share it.
+_scan_once = json.JSONDecoder().scan_once
+
+
+class _Malformed:
+    """What :func:`_decode_lines` yields for a bad line a ``permissive``
+    read keeps (the decoder never produces this type)."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, line: str):
+        self.line = line
+
+
+def _decode_lines(lines, mode: str, on_malformed) -> Iterator[object]:
+    """Decode each non-blank line with the parse-mode rules shared by
+    every read path: yield its value, or for a malformed line raise
+    :class:`JsonSyntaxError` (``failfast``), report it to
+    ``on_malformed(line, error)`` and yield a :class:`_Malformed`
+    (``permissive``) or nothing (``dropmalformed``).
+
+    A line the scanner does not consume whole is decoded again by
+    ``json.loads``, so every outcome and error text is exactly that of
+    ``json.loads`` on the stripped line.
+    """
+    if mode not in PARSE_MODES:
+        raise ValueError(
+            "unknown parse mode {!r} (expected one of {})".format(
+                mode, ", ".join(PARSE_MODES)
+            )
+        )
+    scan = _scan_once
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            value, end = scan(stripped, 0)
+        except (StopIteration, ValueError):  # no value: loads says why
+            end = -1
+        if end != len(stripped):
+            try:
+                value = json.loads(stripped)
+            except ValueError as error:
+                wrapped = JsonSyntaxError(str(error))
+                if mode == "failfast":
+                    raise wrapped from error
+                if on_malformed is not None:
+                    on_malformed(stripped, wrapped)
+                if mode == "permissive":
+                    yield _Malformed(stripped)
+                continue
+        yield value
+
+
+def _corrupt_item(line: str, corrupt_field: str) -> Item:
+    return ObjectItem({corrupt_field: StringItem(line)})
+
+
 def iter_json_lines(
     lines,
     mode: str = "failfast",
@@ -203,25 +242,15 @@ def iter_json_lines(
     ``on_malformed(line, error)`` is called for every tolerated bad line
     (the hook the fault ledger uses to count dropped/captured records).
     """
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield parse_json_line(stripped)
-        except JsonSyntaxError as error:
-            if mode == "failfast":
-                raise
-            if on_malformed is not None:
-                on_malformed(stripped, error)
-            if mode == "permissive":
-                yield ObjectItem({corrupt_field: StringItem(stripped)})
+    values = _decode_lines(lines, mode, on_malformed)
+    if mode != "permissive":
+        yield from map(_wrap_fast, values)
+        return
+    for value in values:
+        if type(value) is _Malformed:
+            yield _corrupt_item(value.line, corrupt_field)
+        else:
+            yield _wrap_fast(value)
 
 
 def iter_json_lines_pushed(
@@ -248,38 +277,10 @@ def iter_json_lines_pushed(
     sequence); with no predicates they pass through unchanged.
     ``on_pruned()`` is called once per record skipped here.
     """
-    import json
-
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    loads = json.loads
     predicates = tuple(predicates)
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = loads(stripped)
-        except ValueError as error:
-            wrapped = JsonSyntaxError(str(error))
-            if mode == "failfast":
-                raise wrapped from error
-            if on_malformed is not None:
-                on_malformed(stripped, wrapped)
-            if mode == "permissive":
-                # A corrupt record has only the corrupt field: every
-                # pushed predicate reads a missing key — definite False.
-                if predicates:
-                    if on_pruned is not None:
-                        on_pruned()
-                    continue
-                yield ObjectItem({corrupt_field: StringItem(stripped)})
-            continue
-        if type(record) is dict:
+    for record in _decode_lines(lines, mode, on_malformed):
+        kind = type(record)
+        if kind is dict:
             if predicates:
                 keep = True
                 verified = True
@@ -305,11 +306,16 @@ def iter_json_lines_pushed(
                 continue
         elif predicates:
             # Object lookups on a non-object yield the empty sequence:
-            # the where clause is guaranteed to reject this record.
+            # the where clause is guaranteed to reject this record.  A
+            # permissive corrupt record holds only the corrupt field, so
+            # every pushed predicate reads a missing key: pruned too.
             if on_pruned is not None:
                 on_pruned()
             continue
-        yield _wrap_fast(record)
+        if kind is _Malformed:
+            yield _corrupt_item(record.line, corrupt_field)
+        else:
+            yield _wrap_fast(record)
 
 
 def shred_json_lines(
@@ -317,206 +323,35 @@ def shred_json_lines(
     mode: str = "failfast",
     corrupt_field: str = CORRUPT_RECORD_FIELD,
     on_malformed=None,
+    records=None,
 ):
     """Decode JSON lines and shred them into one ``ColumnBatch``.
 
     The columnar twin of :func:`iter_json_lines_pushed` up to (but not
-    including) predicate evaluation: lines decode through the same C
-    ``json`` path with the same parse-mode semantics — failfast raises,
-    permissive replaces a bad line with a corrupt-record placeholder
-    (its row index lands in ``batch.corrupt_rows`` so a pushed scan can
-    prune it unconditionally, exactly like the row path), dropmalformed
-    skips it, and ``on_malformed`` fires for every tolerated bad line.
-    Predicate masks are applied later, per query, over the shared batch.
+    including) predicate evaluation: lines decode through the same
+    :func:`_decode_lines` with the same parse-mode semantics — failfast
+    raises, permissive replaces a bad line with a corrupt-record
+    placeholder (its row index lands in ``batch.corrupt_rows`` so a
+    pushed scan can prune it unconditionally, exactly like the row
+    path), dropmalformed skips it, and ``on_malformed`` fires for every
+    tolerated bad line.  Predicate masks are applied later, per query,
+    over the shared batch.
+
+    ``records``, when given, is an empty list that receives the decoded
+    records in row order, for a caller that boxes rows from them.
     """
-    import json
+    from repro.items import columnar
 
-    from repro.items.columnar import shred_records
-
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    loads = json.loads
-    records = []
+    if records is None:
+        records = []
+    records.extend(_decode_lines(lines, mode, on_malformed))
     corrupt_rows = set()
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = loads(stripped)
-        except ValueError as error:
-            wrapped = JsonSyntaxError(str(error))
-            if mode == "failfast":
-                raise wrapped from error
-            if on_malformed is not None:
-                on_malformed(stripped, wrapped)
-            if mode == "permissive":
-                corrupt_rows.add(len(records))
-                records.append({corrupt_field: stripped})
-            continue
-        records.append(record)
-    batch = shred_records(records)
+    if mode == "permissive":
+        for row, record in enumerate(records):
+            if type(record) is _Malformed:
+                corrupt_rows.add(row)
+                records[row] = {corrupt_field: record.line}
+    batch = columnar.shred_records(records)
     if corrupt_rows:
         batch.corrupt_rows = frozenset(corrupt_rows)
     return batch
-
-
-def _skip_ws(text: str, position: int) -> int:
-    while position < len(text) and text[position] in _WHITESPACE:
-        position += 1
-    return position
-
-
-def _parse_value(text: str, position: int) -> Tuple[Item, int]:
-    if position >= len(text):
-        raise JsonSyntaxError("unexpected end of JSON input")
-    char = text[position]
-    if char == "{":
-        return _parse_object(text, position)
-    if char == "[":
-        return _parse_array(text, position)
-    if char == '"':
-        value, position = _parse_string(text, position)
-        return StringItem(value), position
-    if char == "t":
-        if text.startswith("true", position):
-            return TRUE, position + 4
-    elif char == "f":
-        if text.startswith("false", position):
-            return FALSE, position + 5
-    elif char == "n":
-        if text.startswith("null", position):
-            return NULL, position + 4
-    elif char == "-" or char.isdigit():
-        return _parse_number(text, position)
-    raise JsonSyntaxError(
-        "unexpected character {!r} at offset {}".format(char, position)
-    )
-
-
-def _parse_object(text: str, position: int) -> Tuple[Item, int]:
-    position = _skip_ws(text, position + 1)
-    pairs = {}
-    if position < len(text) and text[position] == "}":
-        return ObjectItem(pairs), position + 1
-    while True:
-        if position >= len(text) or text[position] != '"':
-            raise JsonSyntaxError(
-                "expected an object key at offset {}".format(position)
-            )
-        key, position = _parse_string(text, position)
-        position = _skip_ws(text, position)
-        if position >= len(text) or text[position] != ":":
-            raise JsonSyntaxError(
-                "expected ':' at offset {}".format(position)
-            )
-        value, position = _parse_value(text, _skip_ws(text, position + 1))
-        pairs[key] = value
-        position = _skip_ws(text, position)
-        if position < len(text) and text[position] == ",":
-            position = _skip_ws(text, position + 1)
-            continue
-        if position < len(text) and text[position] == "}":
-            return ObjectItem(pairs), position + 1
-        raise JsonSyntaxError(
-            "expected ',' or '}}' at offset {}".format(position)
-        )
-
-
-def _parse_array(text: str, position: int) -> Tuple[Item, int]:
-    position = _skip_ws(text, position + 1)
-    members = []
-    if position < len(text) and text[position] == "]":
-        return ArrayItem(members), position + 1
-    while True:
-        value, position = _parse_value(text, position)
-        members.append(value)
-        position = _skip_ws(text, position)
-        if position < len(text) and text[position] == ",":
-            position = _skip_ws(text, position + 1)
-            continue
-        if position < len(text) and text[position] == "]":
-            return ArrayItem(members), position + 1
-        raise JsonSyntaxError(
-            "expected ',' or ']' at offset {}".format(position)
-        )
-
-
-def _parse_string(text: str, position: int) -> Tuple[str, int]:
-    position += 1  # opening quote
-    pieces = []
-    plain_start = position
-    while position < len(text):
-        char = text[position]
-        if char == '"':
-            pieces.append(text[plain_start:position])
-            return "".join(pieces), position + 1
-        if char == "\\":
-            pieces.append(text[plain_start:position])
-            escape = text[position + 1] if position + 1 < len(text) else ""
-            if escape == "u":
-                digits = text[position + 2:position + 6]
-                try:
-                    code = int(digits, 16)
-                except ValueError:
-                    raise JsonSyntaxError(
-                        "bad unicode escape at offset {}".format(position)
-                    ) from None
-                position += 6
-                if 0xD800 <= code <= 0xDBFF and text.startswith(
-                    "\\u", position
-                ):
-                    # Combine a UTF-16 surrogate pair into one code point.
-                    low_digits = text[position + 2:position + 6]
-                    try:
-                        low = int(low_digits, 16)
-                    except ValueError:
-                        low = -1
-                    if 0xDC00 <= low <= 0xDFFF:
-                        code = 0x10000 + ((code - 0xD800) << 10) + (
-                            low - 0xDC00
-                        )
-                        position += 6
-                pieces.append(chr(code))
-            elif escape in _ESCAPES:
-                pieces.append(_ESCAPES[escape])
-                position += 2
-            else:
-                raise JsonSyntaxError(
-                    "bad escape at offset {}".format(position)
-                )
-            plain_start = position
-        else:
-            position += 1
-    raise JsonSyntaxError("unterminated string")
-
-
-def _parse_number(text: str, position: int) -> Tuple[Item, int]:
-    start = position
-    if text[position] == "-":
-        position += 1
-    while position < len(text) and text[position].isdigit():
-        position += 1
-    is_double = False
-    if position < len(text) and text[position] == ".":
-        is_double = True
-        position += 1
-        while position < len(text) and text[position].isdigit():
-            position += 1
-    if position < len(text) and text[position] in "eE":
-        is_double = True
-        position += 1
-        if position < len(text) and text[position] in "+-":
-            position += 1
-        while position < len(text) and text[position].isdigit():
-            position += 1
-    literal = text[start:position]
-    if not literal or literal == "-":
-        raise JsonSyntaxError("bad number at offset {}".format(start))
-    if is_double:
-        return DoubleItem(float(literal)), position
-    return IntegerItem(int(literal)), position

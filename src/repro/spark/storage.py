@@ -23,6 +23,12 @@ from repro.sanitizer import san_lock, shared_state
 #: produce multi-partition RDDs.
 DEFAULT_BLOCK_SIZE = 4 * 1024 * 1024
 
+#: Bytes per read when splitting a block into lines: the buffer size of
+#: the ``BufferedReader`` a ``readline()`` loop refills from.  Larger
+#: reads hold the GIL longer per call, which delays the short requests
+#: of other threads when a server runs scans concurrently.
+READ_CHUNK = 8 * 1024
+
 
 class StorageError(IOError):
     """A path could not be resolved or read."""
@@ -53,7 +59,11 @@ class FileBlock:
         """Yield the block's lines.  ``decode_errors`` follows the codec
         convention (``"strict"``, ``"replace"``, ...): the tolerant parse
         modes read with ``"replace"`` so one undecodable byte becomes a
-        malformed *record* rather than aborting the whole partition."""
+        malformed *record* rather than aborting the whole partition.
+
+        The file is read :data:`READ_CHUNK` bytes at a time; each run of
+        whole lines is decoded and split on ``\n`` at once.  A trailing
+        ``\r`` is stripped from every line and blank lines are skipped."""
         end = self.start + self.length
         with open(self.path, "rb") as handle:
             if self.start > 0:
@@ -63,17 +73,54 @@ class FileBlock:
                 # belongs to the previous one.
                 handle.seek(self.start - 1)
                 handle.readline()
-            else:
-                handle.seek(0)
-            while handle.tell() < end:
-                line = handle.readline()
-                if not line:
+            offset = handle.tell()  # file offset of ``pending[0]``
+            if offset >= end:
+                return
+            pending = b""  # the bytes of a line not yet complete
+            while True:
+                chunk = handle.read(READ_CHUNK)
+                if not chunk:  # end of file: a last line without "\n"
+                    yield from _split_lines(pending, decode_errors)
                     return
-                text = line.decode(
-                    "utf-8", errors=decode_errors
-                ).rstrip("\n").rstrip("\r")
-                if text:
-                    yield text
+                data = pending + chunk if pending else chunk
+                # The block's last line is the one holding byte end - 1:
+                # it ends at the first "\n" at or after that byte.
+                stop = data.find(b"\n", max(0, end - 1 - offset))
+                if stop >= 0:
+                    yield from _split_lines(data[:stop + 1], decode_errors)
+                    return
+                cut = data.rfind(b"\n") + 1
+                if cut:
+                    yield from _split_lines(data[:cut], decode_errors)
+                pending = data[cut:]
+                offset += cut
+
+
+def _split_lines(data: bytes, decode_errors: str) -> Iterator[str]:
+    """The non-blank lines of a run of whole lines, each without its
+    line ending.  Decoding the run at once equals decoding it line by
+    line, since no UTF-8 error ever spans a ``\n`` byte; when it raises
+    (``strict``), :func:`_decode_one_by_one` takes over so the lines
+    before the bad one still come out before the bad line's error."""
+    try:
+        text = data.decode("utf-8", decode_errors)
+    except UnicodeDecodeError:
+        return _decode_one_by_one(data, decode_errors)
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    return filter(None, lines)
+
+
+def _decode_one_by_one(data: bytes, decode_errors: str) -> Iterator[str]:
+    pieces = data.split(b"\n")
+    last = len(pieces) - 1
+    for number, piece in enumerate(pieces):
+        # Each line is decoded with its "\n", as a readline() loop would.
+        raw = piece if number == last else piece + b"\n"
+        line = raw.decode("utf-8", decode_errors).rstrip("\n").rstrip("\r")
+        if line:
+            yield line
 
 
 @shared_state

@@ -1,4 +1,4 @@
-"""The streaming JSON-Lines decoder and its fast path."""
+"""The JSON-Lines decoder, checked against the pure streaming parser."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.jsoniq.jsonlines import (
     JsonSyntaxError,
     iter_json_lines,
     parse_json_line,
-    parse_json_line_pure,
 )
+from tests.ingest_oracles import parse_json_line_pure
 
 
 CASES = [

@@ -14,9 +14,10 @@ from repro.items import (
     value_compare,
     values_equal,
 )
-from repro.jsoniq.jsonlines import parse_json_line, parse_json_line_pure
+from repro.jsoniq.jsonlines import parse_json_line
 from repro.spark import SparkContext
 from repro.spark.shuffle import HashPartitioner, stable_hash
+from tests.ingest_oracles import parse_json_line_pure
 
 # -- Strategies ---------------------------------------------------------------
 
