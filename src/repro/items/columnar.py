@@ -28,12 +28,12 @@ sanitizer hierarchy (``items.columnar.batch_cache``).
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from itertools import accumulate, chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.jsoniq.jsonlines import LazyObjectItem, _wrap_fast
+from repro.items.compare import ABSENT, FLIPPED, VALUE_OPS, raw_verdict
+from repro.jsoniq.jsonlines import box_record
 from repro.sanitizer import san_lock, shared_state
 
 #: Per-row, per-column validity codes.
@@ -49,10 +49,6 @@ PRUNED = 0
 RETAINED = 1
 VERIFIED = 2
 
-#: Sentinel for an absent key (JSONiq's empty sequence), distinct from a
-#: JSON null.  Readers compare by identity.
-ABSENT = object()
-
 #: Column kinds.  ``number`` unifies integer and double columns;
 #: ``mixed`` is the per-column escape (raw values, boxed on demand).
 KIND_STRING = "string"
@@ -65,13 +61,6 @@ KIND_MIXED = "mixed"
 
 #: How many leading records of a block the schema inference samples.
 SCHEMA_SAMPLE = 64
-
-_PY_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
-
 
 def _kind_of_value(value) -> Optional[str]:
     """The column kind one decoded JSON value votes for (None = null,
@@ -112,6 +101,14 @@ _FITS = {
     KIND_DOUBLE: frozenset((float, _NONE)),
     KIND_NUMBER: frozenset((int, float, _NONE)),
     KIND_LIST: frozenset((list, _NONE)),
+}
+
+
+#: The one Python type a column of each single-type kind holds (beside
+#: None): the typed mask kernel's admission rule.
+_KIND_TYPE = {
+    KIND_STRING: str, KIND_BOOLEAN: bool, KIND_INTEGER: int,
+    KIND_DOUBLE: float,
 }
 
 
@@ -316,60 +313,51 @@ class ColumnBatch:
 
     def _vector_mask(self, left, right, value_op: str
                      ) -> List[Optional[bool]]:
-        py_op = _PY_OPS[value_op]
+        py_op = VALUE_OPS[value_op]
         eq_family = value_op in ("eq", "ne")
-        # Key-vs-literal over a homogeneous typed column: the tight loop.
+        # Key-vs-literal over a homogeneous typed column: the tight loop
+        # (a literal on the left is the flipped comparison).
+        fast = None
         if left[0] == "key" and right[0] == "lit":
-            fast = self._typed_compare(left[1], right[1], py_op, eq_family,
-                                       flipped=False)
-            if fast is not None:
-                return fast
+            fast = self._typed_compare(left[1], right[1], py_op, eq_family)
         elif left[0] == "lit" and right[0] == "key":
-            fast = self._typed_compare(right[1], left[1], py_op, eq_family,
-                                       flipped=True)
-            if fast is not None:
-                return fast
-        # Generic path (key-vs-key, mixed columns): per-row scalar
-        # verdicts over raw column reads — still no boxing.
+            fast = self._typed_compare(
+                right[1], left[1], VALUE_OPS[FLIPPED[value_op]], eq_family)
+        if fast is not None:
+            return fast
+        # Generic path (key-vs-key, mixed columns): per-row raw verdicts
+        # over raw column reads — still no boxing.
         read_left = self._operand_reader(left)
         read_right = self._operand_reader(right)
         return [
-            _scalar_verdict(read_left(row), read_right(row), py_op, eq_family)
+            raw_verdict(read_left(row), read_right(row), py_op, eq_family)
             for row in range(self.row_count)
         ]
 
-    def _typed_compare(self, key: str, literal, py_op, eq_family: bool,
-                       flipped: bool) -> Optional[List[Optional[bool]]]:
-        """The vectorized kernel for one typed column against a matching
-        literal, or None when the shapes don't line up."""
+    def _typed_compare(self, key: str, literal, py_op, eq_family: bool
+                       ) -> Optional[List[Optional[bool]]]:
+        """The vectorized kernel for one typed column compared with
+        ``py_op`` against a literal of the column's own Python type —
+        where :func:`raw_verdict` applies the bare operator — or None
+        when the shapes don't line up (the generic path decides)."""
         column = self.columns.get(key)
         if column is None:
             # Key outside the schema: every shredded row misses it.
             return [False] * self.row_count
         kind = column.kind
-        literal_is_bool = isinstance(literal, bool)
-        if kind == KIND_STRING and type(literal) is str:
-            pass
-        elif kind in (KIND_INTEGER, KIND_DOUBLE, KIND_NUMBER) and (
-            isinstance(literal, (int, float)) and not literal_is_bool
+        if kind == KIND_DOUBLE and type(literal) is int:
+            try:
+                literal = float(literal)  # the verdict's int/double rule
+            except OverflowError:
+                return None
+        if type(literal) is not _KIND_TYPE.get(kind) or (
+            kind == KIND_BOOLEAN and not eq_family
         ):
-            pass
-        elif kind == KIND_BOOLEAN and literal_is_bool and eq_family:
-            pass
-        else:
             return None
-        values = column.values
-        validity = column.validity
-        if flipped:
-            return [
-                (py_op(literal, value) if flag == PRESENT
-                 else None if flag == NULL else False)
-                for value, flag in zip(values, validity)
-            ]
         return [
             (py_op(value, literal) if flag == PRESENT
              else None if flag == NULL else False)
-            for value, flag in zip(values, validity)
+            for value, flag in zip(column.values, column.validity)
         ]
 
     def _operand_reader(self, spec) -> Callable[[int], object]:
@@ -380,37 +368,6 @@ class ColumnBatch:
         if column is None:
             return lambda row: ABSENT
         return column.read
-
-
-def _scalar_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
-    """The three-valued verdict of one raw comparison — the column-read
-    twin of ``pushdown._make_raw``'s record path (ABSENT plays the
-    missing-key role)."""
-    if mine is ABSENT or theirs is ABSENT:
-        return False
-    if mine is None or theirs is None:
-        return None
-    mine_bool = isinstance(mine, bool)
-    theirs_bool = isinstance(theirs, bool)
-    if mine_bool or theirs_bool:
-        if mine_bool and theirs_bool and eq_family:
-            return py_op(mine, theirs)
-        return None
-    if isinstance(mine, str) and isinstance(theirs, str):
-        return py_op(mine, theirs)
-    if isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
-        return py_op(mine, theirs)
-    return None
-
-
-def box_record(record, verified: bool = False):
-    """Box one decoded record the way the row-at-a-time scan does."""
-    if type(record) is dict:
-        item = LazyObjectItem(record)
-        if verified:
-            item.pushdown_verified = True
-        return item
-    return _wrap_fast(record)
 
 
 class MaskedBatch:

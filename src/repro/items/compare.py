@@ -11,10 +11,18 @@ Two distinct notions coexist:
   an integer type code, a string column and a double column, designed so
   that Spark SQL grouping/sorting on those native columns reproduces the
   JSONiq semantics without ever seeing an ``Item``.
+
+This module is the one definition of the comparison rule.  The operator
+tables, the raw three-valued verdict the pushed scan and the columnar
+masks evaluate on decoded JSON values, and the raw grouping key all
+live here, next to the item-level reference they must agree with.  (The
+storage layer's sidecar stats keep their own literal-family test: the
+substrate cannot import this package without an import cycle.)
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple
 
 from repro.items.atomics import promote_pair
@@ -30,6 +38,25 @@ CODE_FALSE = 4
 CODE_STRING = 5
 CODE_NUMBER = 6
 EMPTY_GREATEST = 7
+
+#: Value comparison -> the Python operator it applies to two comparable
+#: operands (after numeric promotion).
+VALUE_OPS = {
+    "eq": operator.eq, "ne": operator.ne,
+    "lt": operator.lt, "le": operator.le,
+    "gt": operator.gt, "ge": operator.ge,
+}
+#: General comparison spelling -> the value comparison it quantifies.
+GENERAL_TO_VALUE = {
+    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+}
+#: The value comparison that holds with the two operands swapped.
+FLIPPED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge",
+           "gt": "lt", "ge": "le"}
+
+#: A raw operand that is absent (an object key that is not there): the
+#: empty sequence, distinct from a JSON null.  Compared by identity.
+ABSENT = object()
 
 
 def value_compare(left: Item, right: Item) -> int:
@@ -70,6 +97,41 @@ def value_compare(left: Item, right: Item) -> int:
         "XPTY0004",
         "cannot compare {} with {}".format(left.type_name, right.type_name),
     )
+
+
+def raw_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
+    """The three-valued verdict of one value comparison over raw decoded
+    JSON values (``ABSENT`` for the empty sequence).
+
+    True or False only when the reference evaluator is certain to give
+    that answer without raising; None (Unknown) leaves the decision to
+    it.  ``py_op`` is a :data:`VALUE_OPS` entry; ``eq_family`` says it
+    is ``eq``/``ne``, the only operators booleans are proven under.
+    Same-type strings and numbers apply the operator directly (NaN
+    compares unequal and unordered, as in XQuery F&O); an int against a
+    float compares both as doubles, like the reference's promotion.
+    This runs once per scanned row: keep it one flat function.
+    """
+    if mine is ABSENT or theirs is ABSENT:
+        # The empty sequence makes the comparison false, unless the
+        # other operand is an array or object the reference may reject.
+        other = theirs if mine is ABSENT else mine
+        return None if type(other) is list or type(other) is dict else False
+    kind = type(mine)
+    if kind is type(theirs):
+        if kind is str or kind is int or kind is float:
+            return py_op(mine, theirs)
+        if kind is bool and eq_family:
+            return py_op(mine, theirs)
+        return None  # null, arrays, objects: the reference decides
+    if (kind is int or kind is float) and (
+        type(theirs) is int or type(theirs) is float
+    ):
+        try:
+            return py_op(float(mine), float(theirs))
+        except OverflowError:  # an int no double can hold
+            return None
+    return None
 
 
 def values_equal(left: Item, right: Item) -> bool:
@@ -152,6 +214,29 @@ def grouping_key(item: Optional[Item]) -> Tuple[int, str, float]:
         return (CODE_NUMBER, "", float(item.sort_key()))
     raise make_type_error(
         "XPTY0004", "cannot group by {}".format(item.type_name)
+    )
+
+
+def raw_grouping_key(value, name: str) -> Tuple[int, str, float]:
+    """:func:`grouping_key` computed straight from a raw decoded value
+    (``ABSENT`` for the empty sequence) bound to grouping variable
+    ``$name``, with the group-by clause's atomicity error."""
+    if value is ABSENT:
+        return (EMPTY_LEAST, "", 0.0)
+    if value is None:
+        return (CODE_NULL, "", 0.0)
+    kind = type(value)
+    if kind is bool:
+        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
+    if kind is str:
+        return (CODE_STRING, value, 0.0)
+    if kind is int or kind is float:
+        return (CODE_NUMBER, "", float(value))
+    raise make_type_error(
+        "XPTY0004",
+        "grouping variable ${} is not atomic ({})".format(
+            name, "array" if kind is list else "object"
+        ),
     )
 
 

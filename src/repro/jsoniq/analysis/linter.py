@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.items.compare import FLIPPED
 from repro.jsoniq import ast
 from repro.jsoniq.analysis.diagnostics import (
     Diagnostic,
@@ -159,7 +160,7 @@ def _check_count_antipattern(node: ast.ComparisonExpression,
             continue
         op = node.op
         if call is node.right:
-            op = _flip(op)
+            op = FLIPPED.get(op, op)
         suggestion = _COUNT_REWRITES.get((op, literal.value))
         if suggestion is not None:
             sink.report(
@@ -169,9 +170,3 @@ def _check_count_antipattern(node: ast.ComparisonExpression,
                 node=node,
             )
         return
-
-
-def _flip(op: str) -> str:
-    return {
-        "lt": "gt", "gt": "lt", "le": "ge", "ge": "le",
-    }.get(op, op)

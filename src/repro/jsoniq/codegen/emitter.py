@@ -17,11 +17,12 @@ Two invariants keep the generated code equivalent to the interpreter:
   heterogeneous value) is caught by an inlined raw-type guard whose
   failure branch re-evaluates the *whole row* through the reference
   expression — so error classes, messages and ordering stay exact.
-* **Specialization only widens the fast lane.**  When PR 3's static
-  inference proved a subtree (``static_numeric`` on arithmetic,
-  literal operands on comparisons), the guard is omitted entirely and
-  the emitted line is the bare Python operator; unproven subtrees keep
-  the guard.  Either way the slow path is the interpreter itself.
+* **Specialization only widens the fast lane.**  When static inference
+  proved a subtree (``static_numeric`` on arithmetic, string operands
+  on comparisons), the guard is omitted entirely and the emitted line
+  is the bare Python operator; unproven subtrees keep the guard, and so
+  do number comparisons, whose int/double promotion needs the raw
+  types.  Either way the slow path is the interpreter itself.
 
 Anything outside the supported shape raises :class:`Unsupported` at
 planning time; the plan records the reason and the pipeline stays on
@@ -32,14 +33,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: Value-comparison spelling -> Python operator.  General comparisons
-#: map onto the same operators through ``_GENERAL_TO_VALUE`` but differ
-#: on empty operands (empty sequence compares FALSE instead of empty).
-_VALUE_OPS = {
-    "eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
-}
-_GENERAL_TO_VALUE = {
-    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+from repro.items.compare import GENERAL_TO_VALUE
+
+#: Value-comparison spelling -> the Python operator symbol: the general
+#: spelling of the same comparison, with ``=`` doubled.  General
+#: comparisons map onto the same operators but differ on empty operands
+#: (empty sequence compares FALSE instead of empty).
+_SYMBOLS = {
+    value_op: "==" if general == "=" else general
+    for general, value_op in GENERAL_TO_VALUE.items()
 }
 
 
@@ -282,11 +284,11 @@ class _Emitter:
         return Fragment(var, "number", bool(absent))
 
     def _comparison(self, node, body: List[str], indent: int) -> Fragment:
-        general = node.op in _GENERAL_TO_VALUE
-        value_op = _GENERAL_TO_VALUE.get(node.op, node.op)
-        if value_op not in _VALUE_OPS:
+        general = node.op in GENERAL_TO_VALUE
+        value_op = GENERAL_TO_VALUE.get(node.op, node.op)
+        if value_op not in _SYMBOLS:
             raise Unsupported("operator " + node.op + " stays interpreted")
-        pyop = _VALUE_OPS[value_op]
+        pyop = _SYMBOLS[value_op]
         left = self.value(node.left, body, indent)
         right = self.value(node.right, body, indent)
         if "boolean" in (left.kind, right.kind):
@@ -300,82 +302,80 @@ class _Emitter:
         unknown = [f for f in (left, right) if f.kind is None]
         result = Fragment(var, "boolean", bool(absent) and not general)
         proven = left.kind or right.kind
-        if proven == "number":
-            branches = [" and ".join(_is_num(f.expr) for f in unknown)]
-        elif proven == "string":
-            branches = [" and ".join(
-                "type({}) is str".format(f.expr) for f in unknown)]
-        else:
-            # Both sides unknown: dispatch on the two orderable raw
-            # families; anything else (bool/null/nested/mixed) falls
-            # back so the interpreter raises or compares as specified.
-            branches = [
-                "{} and {}".format(_is_num(left.expr), _is_num(right.expr)),
-                "type({}) is str and type({}) is str".format(
-                    left.expr, right.expr),
-            ]
-        if not unknown:
-            # Both families proven: a guard could never fire, so the
+        # Numbers take the bare operator only as an int/int or
+        # float/float pair: the reference compares an int with a float
+        # as two doubles (items.compare.raw_verdict's rule), so a mixed
+        # pair falls back, even when both sides are proven numbers.
+        same_number = "type({}) is type({})".format(left.expr, right.expr)
+        if proven == "string" and not unknown:
+            # Both strings proven: a guard could never fire, so the
             # emitted comparison is the bare Python operator.
+            branches = []
             self.count("static_compare")
             self.note("comparison specialized on static types")
-            if absent:
-                # A value comparison over an empty operand is empty; a
-                # general comparison quantifies existentially, so an
-                # empty side is False.
-                body.append(pad + "if {}:".format(" or ".join(
-                    "{} is ABSENT".format(e) for e in absent)))
-                body.append(pad + "    {} = {}".format(
-                    var, "False" if general else "ABSENT"))
-                body.append(pad + "else:")
-                body.append(pad + "    " + compute)
+        else:
+            if proven == "number":
+                branches = [same_number]
+            elif proven == "string":
+                branches = [" and ".join(
+                    "type({}) is str".format(f.expr) for f in unknown)]
             else:
-                body.append(pad + compute)
-            return result
-        self.count("guarded_compare")
-        self.note("comparison guarded on raw types")
+                # Both sides unknown: dispatch on the two orderable raw
+                # families; anything else (bool/null/nested/mixed) falls
+                # back so the interpreter raises or compares as
+                # specified.
+                branches = [
+                    "{} and {}".format(same_number, _is_num(left.expr)),
+                    "type({}) is str and type({}) is str".format(
+                        left.expr, right.expr),
+                ]
+            self.count("guarded_compare")
+            self.note("comparison guarded on raw types")
+        list_check = " or ".join(
+            "type({}) is list".format(f.expr) for f in unknown)
+        prefix = "if"
         if not general:
             # Value comparison: the reference atomizes both operands
             # before its empty check, so a non-atomic (list) operand
-            # errors even when the other side is empty.
-            body.append(pad + "if {}:".format(" or ".join(
-                "type({}) is list".format(f.expr) for f in unknown)))
-            self.fallback(body, indent + 4)
-            prefix = "if"
+            # errors even when the other side is empty; an empty
+            # operand makes the comparison empty.
+            if list_check:
+                body.append(pad + "if {}:".format(list_check))
+                self.fallback(body, indent + 4)
             if absent:
                 body.append(pad + "if {}:".format(" or ".join(
                     "{} is ABSENT".format(e) for e in absent)))
                 body.append(pad + "    {} = ABSENT".format(var))
                 prefix = "elif"
-            for branch in branches:
-                body.append(pad + "{} {}:".format(prefix, branch))
-                body.append(pad + "    " + compute)
+        else:
+            # General comparison materializes lazily left-to-right: an
+            # empty LEFT side is False before the right side is ever
+            # inspected, but a present non-atomic on either side raises.
+            if left.maybe_absent:
+                body.append(pad + "if {} is ABSENT:".format(left.expr))
+                body.append(pad + "    {} = False".format(var))
                 prefix = "elif"
-            body.append(pad + "else:")
-            self.fallback(body, indent + 4)
-            return result
-        # General comparison materializes lazily left-to-right: an empty
-        # LEFT side is False before the right side is ever inspected,
-        # but a present non-atomic on either side raises.
-        prefix = "if"
-        if left.maybe_absent:
-            body.append(pad + "if {} is ABSENT:".format(left.expr))
-            body.append(pad + "    {} = False".format(var))
-            prefix = "elif"
-        list_checks = [
-            "type({}) is list".format(f.expr) for f in unknown
-        ]
-        body.append(pad + "{} {}:".format(prefix, " or ".join(list_checks)))
-        self.fallback(body, indent + 4)
-        prefix = "elif"
-        if right.maybe_absent:
-            body.append(pad + "{} {} is ABSENT:".format(prefix, right.expr))
-            body.append(pad + "    {} = False".format(var))
+            if list_check:
+                body.append(pad + "{} {}:".format(prefix, list_check))
+                self.fallback(body, indent + 4)
+                prefix = "elif"
+            if right.maybe_absent:
+                body.append(pad + "{} {} is ABSENT:".format(
+                    prefix, right.expr))
+                body.append(pad + "    {} = False".format(var))
+                prefix = "elif"
         for branch in branches:
             body.append(pad + "{} {}:".format(prefix, branch))
             body.append(pad + "    " + compute)
-        body.append(pad + "else:")
-        self.fallback(body, indent + 4)
+            prefix = "elif"
+        if branches:
+            body.append(pad + "else:")
+            self.fallback(body, indent + 4)
+        elif prefix == "elif":
+            body.append(pad + "else:")
+            body.append(pad + "    " + compute)
+        else:
+            body.append(pad + compute)
         return result
 
     # -- return-expression shapes ---------------------------------------

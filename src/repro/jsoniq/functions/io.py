@@ -45,12 +45,13 @@ def _parse_settings(runtime):
     )
 
 
-def _json_lines_reader(runtime, mode: str, corrupt_field: str):
-    """A partition-mapper decoding JSON lines under ``mode``, reporting
-    every tolerated malformed line to the context's fault ledger."""
+def _malformed_reporter(spark_context, mode: str):
+    """The ``on_malformed`` hook of a read under ``mode``: it reports
+    each tolerated malformed line to the fault ledger (None under
+    ``failfast``, where a malformed line raises)."""
     if mode == "failfast":
-        return iter_json_lines
-    faults = runtime.spark.spark_context.faults
+        return None
+    faults = spark_context.faults
     kind = (
         "malformed_dropped" if mode == "dropmalformed"
         else "malformed_captured"
@@ -60,6 +61,16 @@ def _json_lines_reader(runtime, mode: str, corrupt_field: str):
         faults.record(
             kind, "MalformedRecord", mode=mode, reason=str(error)[:120]
         )
+
+    return on_malformed
+
+
+def _json_lines_reader(runtime, mode: str, corrupt_field: str):
+    """A partition-mapper decoding JSON lines under ``mode``, reporting
+    every tolerated malformed line to the context's fault ledger."""
+    if mode == "failfast":
+        return iter_json_lines
+    on_malformed = _malformed_reporter(runtime.spark.spark_context, mode)
 
     def read(lines) -> Iterator[Item]:
         return iter_json_lines(
@@ -156,19 +167,7 @@ class JsonFileIterator(RuntimeIterator):
         )
         projection = plan.effective_projection()  # logged, not applied:
         # lazy item wrapping already defers unreferenced keys.
-        on_malformed = None
-        if mode != "failfast":
-            faults = context_.faults
-            kind = (
-                "malformed_dropped" if mode == "dropmalformed"
-                else "malformed_captured"
-            )
-
-            def on_malformed(line, error):
-                faults.record(
-                    kind, "MalformedRecord", mode=mode,
-                    reason=str(error)[:120],
-                )
+        on_malformed = _malformed_reporter(context_, mode)
 
         on_pruned = None
         if obs is not None:
@@ -264,19 +263,7 @@ class JsonFileIterator(RuntimeIterator):
             return context_.empty_rdd()
         decode_errors = "strict" if mode == "failfast" else "replace"
         cacheable = mode == "failfast"
-        on_malformed = None
-        if mode != "failfast":
-            faults = context_.faults
-            kind = (
-                "malformed_dropped" if mode == "dropmalformed"
-                else "malformed_captured"
-            )
-
-            def on_malformed(line, error):
-                faults.record(
-                    kind, "MalformedRecord", mode=mode,
-                    reason=str(error)[:120],
-                )
+        on_malformed = _malformed_reporter(context_, mode)
 
         ledger = getattr(context_, "columnar", None)
 

@@ -27,6 +27,7 @@ from repro.items import (
     ObjectItem,
     StringItem,
 )
+from repro.items.compare import ABSENT
 from repro.jsoniq.errors import DynamicException
 
 
@@ -46,8 +47,6 @@ _new_string = StringItem.__new__
 _new_integer = IntegerItem.__new__
 _new_double = DoubleItem.__new__
 _new_array = ArrayItem.__new__
-
-_ABSENT = object()
 
 
 class LazyObjectItem(ObjectItem):
@@ -91,14 +90,14 @@ class LazyObjectItem(ObjectItem):
         return list(self._raw.keys())
 
     def get_item(self, key):
-        value = self._raw.get(key, _ABSENT)
-        if value is _ABSENT:
+        value = self._raw.get(key, ABSENT)
+        if value is ABSENT:
             return None
         return _wrap_fast(value)
 
     def lookup(self, key):
-        value = self._raw.get(key, _ABSENT)
-        if value is not _ABSENT:
+        value = self._raw.get(key, ABSENT)
+        if value is not ABSENT:
             yield _wrap_fast(value)
 
     def __reduce__(self):
@@ -107,8 +106,8 @@ class LazyObjectItem(ObjectItem):
         # the raw dict instead (the wrapped values re-derive lazily).
         # Needed by the memory manager's disk tier, which round-trips
         # spilled partitions through pickle.
-        verified = getattr(self, "pushdown_verified", _ABSENT)
-        if verified is _ABSENT:
+        verified = getattr(self, "pushdown_verified", ABSENT)
+        if verified is ABSENT:
             return (LazyObjectItem, (self._raw,))
         return (_restore_lazy_object, (self._raw, verified))
 
@@ -151,6 +150,18 @@ def _wrap_fast(value) -> Item:
     if value is None:
         return NULL
     raise JsonSyntaxError("unsupported JSON value {!r}".format(value))
+
+
+def box_record(record, verified: bool = False) -> Item:
+    """Box one decoded record the way the row-at-a-time scan does:
+    objects wrap lazily, flagged ``pushdown_verified`` when every pushed
+    predicate proved them true."""
+    if type(record) is dict:
+        item = LazyObjectItem(record)
+        if verified:
+            item.pushdown_verified = True
+        return item
+    return _wrap_fast(record)
 
 
 #: Spark-style parse modes for messy JSON-Lines input.
@@ -280,42 +291,33 @@ def iter_json_lines_pushed(
     predicates = tuple(predicates)
     for record in _decode_lines(lines, mode, on_malformed):
         kind = type(record)
-        if kind is dict:
-            if predicates:
-                keep = True
-                verified = True
-                for predicate in predicates:
-                    verdict = predicate(record)
-                    if verdict is False:
-                        keep = False
-                        break
-                    if verdict is not True:
-                        verified = False
-                if not keep:
-                    if on_pruned is not None:
-                        on_pruned()
-                    continue
-                item = LazyObjectItem(record)
-                if verified:
-                    # Every pushed predicate returned a definite True:
-                    # the retained where clauses they came from cannot
-                    # reject (or error on) this record, so they may
-                    # skip re-evaluating it.
-                    item.pushdown_verified = True
-                yield item
-                continue
-        elif predicates:
-            # Object lookups on a non-object yield the empty sequence:
-            # the where clause is guaranteed to reject this record.  A
-            # permissive corrupt record holds only the corrupt field, so
-            # every pushed predicate reads a missing key: pruned too.
+        if not predicates:
+            if kind is _Malformed:
+                yield _corrupt_item(record.line, corrupt_field)
+            else:
+                yield _wrap_fast(record)
+            continue
+        # Object lookups on a non-object yield the empty sequence: the
+        # where clause is guaranteed to reject it.  A permissive corrupt
+        # record holds only the corrupt field, so every pushed predicate
+        # reads a missing key: pruned too.
+        keep = kind is dict
+        verified = True
+        if keep:
+            for predicate in predicates:
+                verdict = predicate(record)
+                if verdict is False:
+                    keep = False
+                    break
+                if verdict is not True:
+                    verified = False
+        if not keep:
             if on_pruned is not None:
                 on_pruned()
             continue
-        if kind is _Malformed:
-            yield _corrupt_item(record.line, corrupt_field)
-        else:
-            yield _wrap_fast(record)
+        # All-True verdicts let the retained where clauses skip this
+        # record: they cannot reject (or error on) it.
+        yield box_record(record, verified)
 
 
 def shred_json_lines(

@@ -22,6 +22,7 @@ from repro.items import (
     grouping_key,
     ordering_tuple,
 )
+from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 from repro.jsoniq.errors import TypeException
 from repro.jsoniq.runtime.base import RuntimeIterator, _cancel_of, _obs_of
 from repro.jsoniq.runtime.dynamic_context import DynamicContext
@@ -125,13 +126,6 @@ def _row_context(
     return inner
 
 
-#: Compile-time fast paths for ``$var.key`` extraction and simple
-#: comparison predicates.  On by default; the ablation benchmark
-#: (benchmarks/test_ablation_optimizations.py) toggles this off to measure
-#: what the generic EVALUATE_EXPRESSION path costs.
-FAST_PATHS_ENABLED = True
-
-
 def _make_fast_extractor(expression: RuntimeIterator):
     """A compiled fast path for ``$var.key`` expressions.
 
@@ -143,8 +137,6 @@ def _make_fast_extractor(expression: RuntimeIterator):
     from repro.jsoniq.runtime.navigation import ObjectLookupIterator
     from repro.jsoniq.runtime.primary import VariableIterator
 
-    if not FAST_PATHS_ENABLED:
-        return None
     if not isinstance(expression, ObjectLookupIterator):
         return None
     if expression._constant_key is None:
@@ -174,15 +166,10 @@ def _make_fast_predicate(condition: RuntimeIterator):
     where-conditions — the predicate shape of every selection in the
     paper's workloads.  Returns ``None`` when the condition is not of
     that shape (the generic EVALUATE_EXPRESSION path handles it)."""
-    from repro.jsoniq.runtime.comparison import (
-        ComparisonIterator,
-        _GENERAL_TO_VALUE,
-        _VALUE_OPS,
-        _apply,
-    )
+    from repro.jsoniq.runtime.comparison import ComparisonIterator, _apply
     from repro.jsoniq.runtime.primary import LiteralIterator
 
-    if not FAST_PATHS_ENABLED or not isinstance(condition, ComparisonIterator):
+    if not isinstance(condition, ComparisonIterator):
         return None
 
     def operand_reader(expression):
@@ -199,8 +186,8 @@ def _make_fast_predicate(condition: RuntimeIterator):
     if left is None or right is None:
         return None
     op = condition.op
-    value_comparison = op in _VALUE_OPS
-    value_op = op if value_comparison else _GENERAL_TO_VALUE[op]
+    value_comparison = op in VALUE_OPS
+    value_op = op if value_comparison else GENERAL_TO_VALUE[op]
 
     def predicate(row: Dict[str, object]) -> bool:
         left_items = left(row)

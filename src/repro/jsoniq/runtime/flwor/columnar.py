@@ -32,17 +32,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.items.columnar import ABSENT, PRUNED, VERIFIED
-from repro.jsoniq.errors import TypeException
-
-#: repro.items.compare type codes, used to encode grouping keys straight
-#: from raw column values (bool is checked before int: True == 1).
-_CODE_EMPTY = 1
-_CODE_NULL = 2
-_CODE_TRUE = 3
-_CODE_FALSE = 4
-_CODE_STRING = 5
-_CODE_NUMBER = 6
+from repro.items.columnar import PRUNED, VERIFIED
+from repro.items.compare import ABSENT, raw_grouping_key
 
 
 def _columnar_on(context) -> bool:
@@ -180,7 +171,7 @@ class GroupByCountKernel:
                                 record.get(key, ABSENT) if is_dict else ABSENT
                             )
                             raw_values.append(value)
-                            native.extend(_raw_grouping_key(name, value))
+                            native.extend(raw_grouping_key(value, name))
                     else:
                         for name, _key, column in readers:
                             value = (
@@ -188,7 +179,7 @@ class GroupByCountKernel:
                                 else ABSENT
                             )
                             raw_values.append(value)
-                            native.extend(_raw_grouping_key(name, value))
+                            native.extend(raw_grouping_key(value, name))
                     entry = groups.get(tuple(native))
                     if entry is None:
                         groups[tuple(native)] = [raw_values, 1]
@@ -212,26 +203,6 @@ class GroupByCountKernel:
                 yield out
 
         return rdd.map_partitions(partials)
-
-
-def _raw_grouping_key(name: str, value):
-    """``repro.items.compare.grouping_key`` computed straight from a raw
-    column value, with the group-by clause's atomicity errors."""
-    if value is ABSENT:
-        return (_CODE_EMPTY, "", 0.0)
-    if value is None:
-        return (_CODE_NULL, "", 0.0)
-    if isinstance(value, bool):
-        return (_CODE_TRUE if value else _CODE_FALSE, "", 0.0)
-    if isinstance(value, str):
-        return (_CODE_STRING, value, 0.0)
-    if isinstance(value, (int, float)):
-        return (_CODE_NUMBER, "", float(value))
-    raise TypeException(
-        "grouping variable ${} is not atomic ({})".format(
-            name, "array" if isinstance(value, list) else "object"
-        )
-    )
 
 
 def _build_recheck(wheres, context):

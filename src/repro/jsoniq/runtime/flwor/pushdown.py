@@ -29,23 +29,16 @@ differential and property tests compare against.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.items.compare import (
+    ABSENT,
+    FLIPPED,
+    GENERAL_TO_VALUE,
+    VALUE_OPS,
+    raw_verdict,
+)
 from repro.jsoniq import ast
-
-#: Sentinel distinguishing an absent key from a JSON null.
-_MISSING = object()
-
-_VALUE_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
-_GENERAL_TO_VALUE = {
-    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-}
-_PY_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
 
 
 class PushedPredicate:
@@ -130,57 +123,28 @@ def _operand(node: ast.AstNode, variable: str):
 
 
 def _make_raw(left, right, value_op: str) -> Callable:
-    """Build the three-valued raw predicate over decoded dicts.
-
-    The operand readers are specialized per shape (key/key, key/lit,
-    lit/key) so the per-record path is two dict probes and a compare —
-    this closure runs once per scanned record.
+    """Build the three-valued raw predicate over decoded dicts: one
+    reader per operand feeding :func:`raw_verdict` (an absent key reads
+    as ``ABSENT``, the empty sequence).  Runs once per scanned record.
     """
-    py_op = _PY_OPS[value_op]
+    py_op = VALUE_OPS[value_op]
     eq_family = value_op in ("eq", "ne")
-
-    if left[0] == "key":
-        left_key = left[1]
-        read_left = lambda record: record.get(left_key, _MISSING)  # noqa: E731
-    else:
-        left_value = left[1]
-        read_left = lambda record: left_value  # noqa: E731
-    if right[0] == "key":
-        right_key = right[1]
-        read_right = lambda record: record.get(right_key, _MISSING)  # noqa: E731
-    else:
-        right_value = right[1]
-        read_right = lambda record: right_value  # noqa: E731
+    read_left = _record_reader(left)
+    read_right = _record_reader(right)
 
     def raw(record: dict):
-        mine = read_left(record)
-        theirs = read_right(record)
-        # An absent key is JSONiq's empty sequence: any comparison with
-        # it is definitively false (value comparisons yield the empty
-        # sequence, whose effective boolean value is false).
-        if mine is _MISSING or theirs is _MISSING:
-            return False
-        # JSON nulls and cross-family comparisons have engine-defined
-        # semantics (including type errors): Unknown, never prune.
-        if mine is None or theirs is None:
-            return None
-        mine_bool = isinstance(mine, bool)
-        theirs_bool = isinstance(theirs, bool)
-        if mine_bool or theirs_bool:
-            if mine_bool and theirs_bool and eq_family:
-                return py_op(mine, theirs)
-            return None
-        if isinstance(mine, str) and isinstance(theirs, str):
-            return py_op(mine, theirs)
-        if isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
-            return py_op(mine, theirs)
-        return None
+        return raw_verdict(read_left(record), read_right(record), py_op,
+                           eq_family)
 
     return raw
 
 
-_FLIPPED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge",
-            "gt": "lt", "ge": "le"}
+def _record_reader(spec) -> Callable:
+    if spec[0] == "key":
+        key = spec[1]
+        return lambda record: record.get(key, ABSENT)
+    value = spec[1]
+    return lambda record: value
 
 
 def _compile_predicate(
@@ -189,7 +153,7 @@ def _compile_predicate(
     if not isinstance(condition, ast.ComparisonExpression):
         return None
     op = condition.op
-    value_op = op if op in _VALUE_OPS else _GENERAL_TO_VALUE.get(op)
+    value_op = op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op)
     if value_op is None:
         return None
     left = _operand(condition.left, variable)
@@ -212,7 +176,7 @@ def _compile_predicate(
         left[1], bool
     ):
         plan.range_predicates.append(
-            (right[1], _FLIPPED[value_op], left[1])
+            (right[1], FLIPPED[value_op], left[1])
         )
     return PushedPredicate(
         keys, _make_raw(left, right, value_op), description,
@@ -431,7 +395,7 @@ def _tag_covered_wheres(head, return_iterator, plan: PushdownPlan) -> None:
         if not isinstance(condition, ComparisonIterator):
             continue
         op = condition.op
-        value_op = op if op in _VALUE_OPS else _GENERAL_TO_VALUE.get(op)
+        value_op = op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op)
         left = _iterator_operand(condition.left, plan.variable)
         right = _iterator_operand(condition.right, plan.variable)
         for predicate in remaining:
