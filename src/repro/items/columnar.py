@@ -268,10 +268,12 @@ class ColumnBatch:
 
         ``predicates`` are :class:`PushedPredicate`-shaped objects (a
         ``spec`` triple for the column kernels plus the ``raw`` closure
-        used for escaped rows and as the spec-less fallback).  Verdict
-        combination matches ``iter_json_lines_pushed`` exactly: any
-        definite False prunes, all definite True verifies, anything else
-        retains the row for the reference re-check.
+        used for escaped rows and as the spec-less fallback), in
+        where-clause order.  Verdicts combine by the ordered rule of
+        ``iter_json_lines_pushed``: a row's first verdict other than
+        True decides it — False prunes, Unknown retains it for the
+        reference re-check — and a row True under every predicate is
+        verified.
         """
         count = self.row_count
         if not predicates:
@@ -280,12 +282,14 @@ class ColumnBatch:
             return [RETAINED] * count
         statuses = [VERIFIED] * count
         for predicate in predicates:
-            mask = self._mask(predicate)
-            for row, verdict in enumerate(mask):
-                if verdict is False:
-                    statuses[row] = PRUNED
-                elif verdict is not True and statuses[row] == VERIFIED:
-                    statuses[row] = RETAINED
+            if VERIFIED not in statuses:
+                break  # every row is decided: later masks change nothing
+            statuses = [
+                (VERIFIED if verdict is True
+                 else PRUNED if verdict is False else RETAINED)
+                if status == VERIFIED else status
+                for status, verdict in zip(statuses, self._mask(predicate))
+            ]
         # A permissive-mode corrupt record is pruned unconditionally by
         # the pushed row path (it holds only the corrupt field), even if
         # a predicate were to target that field — replicate exactly.
@@ -392,7 +396,7 @@ class MaskedBatch:
         return self.batch.row_count
 
     def selected_count(self) -> int:
-        return sum(1 for status in self.statuses if status != PRUNED)
+        return len(self.statuses) - self.statuses.count(PRUNED)
 
     def iter_boxed(self):
         """Box every surviving row in row order — the automatic boundary

@@ -9,6 +9,7 @@ with COUNT() instead of being materialized, and unused ones are dropped.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.jsoniq import ast
@@ -421,6 +422,11 @@ class Compiler:
     # -- FLWOR -------------------------------------------------------------------
     def _compile_FlworExpression(self, node: ast.FlworExpression
                                  ) -> RuntimeIterator:
+        clauses = _split_conjunctions(node.clauses)
+        if clauses is not node.clauses:
+            # A copy: the parsed tree may be shared through the plan cache.
+            node = copy.copy(node)
+            node.clauses = clauses
         chain: Optional[ClauseIterator] = None
         bound_so_far: List[str] = []
         for index, clause in enumerate(node.clauses):
@@ -530,6 +536,37 @@ class Compiler:
                         self.stats[key] = self.stats.get(key, 0) + fired
                 return result
         raise StaticException("FLWOR without return clause")
+
+
+def _split_conjunctions(clauses: List[ast.Clause]) -> List[ast.Clause]:
+    """The clause list with each ``where A and B`` written as ``where A
+    where B`` (any nesting of ``and``, left to right), or ``clauses``
+    itself when there is no conjunction to split.
+
+    The rewrite is exact: ``and`` evaluates ``B`` (which may raise) only
+    on tuples where ``A`` holds, which is what the second clause sees.
+    It lets every tier that handles one comparison per where clause
+    (pushed predicates, column masks, codegen, the DataFrame fast
+    predicate) run conjunctions as well.
+    """
+    split: List[ast.Clause] = []
+    for clause in clauses:
+        conjuncts = (_conjuncts(clause.condition)
+                     if isinstance(clause, ast.WhereClause) else ())
+        if len(conjuncts) < 2:
+            split.append(clause)
+            continue
+        for conjunct in conjuncts:
+            where = copy.copy(clause)
+            where.condition = conjunct
+            split.append(where)
+    return clauses if len(split) == len(clauses) else split
+
+
+def _conjuncts(node: ast.Expression) -> List[ast.Expression]:
+    if isinstance(node, ast.BinaryExpression) and node.op == "and":
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
 
 
 def _is_single_numeric(node: ast.AstNode) -> bool:

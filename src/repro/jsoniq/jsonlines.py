@@ -275,11 +275,13 @@ def iter_json_lines_pushed(
     """Decode JSON lines with scan-level predicate pushdown applied.
 
     ``predicates`` are three-valued callables over the *decoded* dict
-    (see :mod:`repro.jsoniq.runtime.flwor.pushdown`): a definite
-    ``False`` prunes the record before any item is built; ``True`` and
-    ``None`` (unknown) keep it for the retained where clause.  Pruning
-    only ever *skips work* the reference path proves redundant —
-    outcomes are identical with it off.  (Key projection needs no scan
+    (see :mod:`repro.jsoniq.runtime.flwor.pushdown`), in where-clause
+    order, applied by the ordered rule: a definite ``False`` prunes the
+    record before any item is built, but only if every earlier
+    predicate answered ``True``; the first ``None`` (unknown) keeps it,
+    unverified, for the retained where clauses.  Pruning only ever
+    *skips work* the reference path proves redundant — outcomes, errors
+    included, are identical with it off.  (Key projection needs no scan
     support: :class:`LazyObjectItem` already defers value wrapping to
     the keys a query actually touches.)
 
@@ -306,11 +308,10 @@ def iter_json_lines_pushed(
         if keep:
             for predicate in predicates:
                 verdict = predicate(record)
-                if verdict is False:
-                    keep = False
-                    break
                 if verdict is not True:
+                    keep = verdict is not False
                     verified = False
+                    break
         if not keep:
             if on_pruned is not None:
                 on_pruned()

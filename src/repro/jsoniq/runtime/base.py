@@ -45,6 +45,23 @@ def _cancel_of(context: DynamicContext):
     return getattr(runtime, "cancel", None)
 
 
+def atomic_operand(items: List[Item], what: str) -> Optional[Item]:
+    """The zero-or-one atomic item ``items`` must be (None for empty),
+    with the error of :meth:`RuntimeIterator.evaluate_atomic`."""
+    if not items:
+        return None
+    if len(items) > 1:
+        raise TypeException(
+            "{} must be a single item, got a longer sequence".format(what)
+        )
+    item = items[0]
+    if not item.is_atomic:
+        raise TypeException(
+            "{} must be atomic, got {}".format(what, item.type_name)
+        )
+    return item
+
+
 class RuntimeIterator:
     """An executable expression returning a sequence of items."""
 
@@ -161,19 +178,7 @@ class RuntimeIterator:
 
     def evaluate_atomic(self, context: DynamicContext, what: str) -> Optional[Item]:
         """Evaluate to zero-or-one atomic item (None for empty)."""
-        items = self.materialize_local(context, limit=2)
-        if not items:
-            return None
-        if len(items) > 1:
-            raise TypeException(
-                "{} must be a single item, got a longer sequence".format(what)
-            )
-        item = items[0]
-        if not item.is_atomic:
-            raise TypeException(
-                "{} must be atomic, got {}".format(what, item.type_name)
-            )
-        return item
+        return atomic_operand(self.materialize_local(context, limit=2), what)
 
     def evaluate_single(self, context: DynamicContext) -> Optional[Item]:
         """The first item of this expression, or None for empty.

@@ -63,23 +63,31 @@ class ComparisonIterator(RuntimeIterator):
         yield TRUE if _apply(self.op, left, right) else FALSE
 
     def _general_comparison(self, context: DynamicContext) -> Iterator[Item]:
-        value_op = GENERAL_TO_VALUE[self.op]
-        left_items = self.left.materialize(context)
-        right_items = self.right.materialize(context)
-        for left in left_items:
-            if not left.is_atomic:
+        yield TRUE if general_compare(
+            GENERAL_TO_VALUE[self.op],
+            self.left.materialize(context),
+            self.right.materialize(context),
+        ) else FALSE
+
+
+def general_compare(value_op: str, left_items, right_items) -> bool:
+    """A general comparison over two materialized operands: true when
+    some pair satisfies ``value_op``.  Each item's atomicity is checked
+    as the pairs are visited, left before right, so which operand
+    raises is fixed."""
+    for left in left_items:
+        if not left.is_atomic:
+            raise TypeException(
+                "cannot compare " + left.type_name
+            )
+        for right in right_items:
+            if not right.is_atomic:
                 raise TypeException(
-                    "cannot compare " + left.type_name
+                    "cannot compare " + right.type_name
                 )
-            for right in right_items:
-                if not right.is_atomic:
-                    raise TypeException(
-                        "cannot compare " + right.type_name
-                    )
-                if _apply(value_op, left, right):
-                    yield TRUE
-                    return
-        yield FALSE
+            if _apply(value_op, left, right):
+                return True
+    return False
 
 
 class AndIterator(RuntimeIterator):

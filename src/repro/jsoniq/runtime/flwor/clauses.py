@@ -166,7 +166,12 @@ def _make_fast_predicate(condition: RuntimeIterator):
     where-conditions — the predicate shape of every selection in the
     paper's workloads.  Returns ``None`` when the condition is not of
     that shape (the generic EVALUATE_EXPRESSION path handles it)."""
-    from repro.jsoniq.runtime.comparison import ComparisonIterator, _apply
+    from repro.jsoniq.runtime.base import atomic_operand
+    from repro.jsoniq.runtime.comparison import (
+        ComparisonIterator,
+        _apply,
+        general_compare,
+    )
     from repro.jsoniq.runtime.primary import LiteralIterator
 
     if not isinstance(condition, ComparisonIterator):
@@ -186,21 +191,17 @@ def _make_fast_predicate(condition: RuntimeIterator):
     if left is None or right is None:
         return None
     op = condition.op
-    value_comparison = op in VALUE_OPS
-    value_op = op if value_comparison else GENERAL_TO_VALUE[op]
+    if op not in VALUE_OPS:
+        value_op = GENERAL_TO_VALUE[op]
+        return lambda row: general_compare(value_op, left(row), right(row))
 
     def predicate(row: Dict[str, object]) -> bool:
-        left_items = left(row)
-        right_items = right(row)
-        if value_comparison and (len(left_items) > 1 or len(right_items) > 1):
-            raise TypeException(
-                "comparison operand has more than one item"
-            )
-        for mine in left_items:
-            for theirs in right_items:
-                if _apply(value_op, mine, theirs):
-                    return True
-        return False
+        # ComparisonIterator's checks, in its order: left, then right.
+        mine = atomic_operand(left(row), "comparison operand")
+        theirs = atomic_operand(right(row), "comparison operand")
+        if mine is None or theirs is None:
+            return False
+        return _apply(op, mine, theirs)
 
     return predicate
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.items.columnar import PRUNED, VERIFIED
+from repro.items.columnar import PRUNED, RETAINED, VERIFIED
 from repro.items.compare import ABSENT, raw_grouping_key
 
 
@@ -273,18 +273,18 @@ def rdd_count(return_iterator, context) -> Optional[int]:
     def count_partition(batches):
         total = 0
         for masked in batches:
-            batch = masked.batch
             if recheck is None:
                 total += masked.selected_count()
                 continue
-            for row, status in enumerate(masked.statuses):
-                if status == PRUNED:
-                    continue
-                if status == VERIFIED:
-                    total += 1
-                    continue
-                item = batch.unshred_row(row)
-                if recheck({variable: [item]}):
+            statuses = masked.statuses
+            total += statuses.count(VERIFIED)
+            if RETAINED not in statuses:
+                continue
+            unshred_row = masked.batch.unshred_row
+            for row, status in enumerate(statuses):
+                if status == RETAINED and recheck(
+                    {variable: [unshred_row(row)]}
+                ):
                     total += 1
         yield total
 

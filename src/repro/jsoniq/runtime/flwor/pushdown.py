@@ -9,15 +9,21 @@ the AST alone:
   never escapes, the scan wraps only those keys into items and skips the
   rest of each decoded record (*Scalable Querying of Nested Data*'s
   motivation: push projection into the nested-JSON scan);
-* **predicate pushdown** — leading ``where`` conditions of the shape
-  ``$v.key <cmp> ($v.key | literal)`` become three-valued *raw*
-  predicates evaluated on the decoded dict before any item is built.
-  Only a definite **False** prunes a record; Unknown (nulls, mixed
-  types, non-scalars) keeps the record so the retained ``where`` clause
-  reproduces the exact reference semantics, type errors included;
-* **partition pruning** — key-vs-literal predicates double as min/max
-  range predicates the storage layer checks against per-file stats
-  sidecars (:func:`repro.spark.storage.split_input_pruned`);
+* **predicate pushdown** — the leading run of ``where`` conditions of
+  the shape ``$v.key <cmp> ($v.key | literal)`` (the compiler has
+  already split ``where A and B`` into ``where A where B``) become
+  three-valued *raw* predicates evaluated on the decoded dict before
+  any item is built.  Every tier applies them with one **ordered
+  rule**, the left-to-right order the where clauses run in: a definite
+  False prunes a record only if every earlier predicate answered True
+  on it; an Unknown (nulls, mixed types, non-scalars) keeps the record
+  unverified, so the retained ``where`` clauses re-check it with the
+  exact reference semantics, type errors included.  The run ends at
+  the first where clause that cannot be pushed;
+* **partition pruning** — the leading predicate, when it compares a
+  key with a literal, doubles as a min/max range fact the storage
+  layer checks against per-file stats sidecars
+  (:func:`repro.spark.storage.split_input_pruned`);
 * **top-k rewrite** — an ``order by ... count $c where $c le k`` tail
   becomes a :class:`TopKClauseIterator` (per-partition heaps plus a
   driver merge) instead of a full sort.
@@ -45,8 +51,10 @@ class PushedPredicate:
     """One where-condition compiled to a raw three-valued predicate.
 
     ``raw(record)`` is evaluated on the decoded JSON dict: ``False``
-    means the where clause is guaranteed to reject the record (prune),
-    ``True``/``None`` means keep it and let the clause re-check.
+    means the where clause is guaranteed to reject the record without
+    an error, ``True`` that it keeps it without an error, ``None`` that
+    only the clause itself can tell.  A False prunes only when every
+    earlier predicate of the plan answered True (the ordered rule).
     """
 
     __slots__ = ("keys", "raw", "description", "spec")
@@ -69,7 +77,8 @@ class PushdownPlan:
     def __init__(self, variable: str):
         self.variable = variable
         self.predicates: List[PushedPredicate] = []
-        #: (key, value-op, literal) facts for min/max file-stats pruning.
+        #: (key, value-op, literal) facts for min/max file-stats pruning:
+        #: at most one, the leading predicate's.
         self.range_predicates: List[Tuple[str, str, object]] = []
         #: Keys observed via ``$v.key`` anywhere downstream; ``None``
         #: when the whole item escapes regardless of the return clause.
@@ -167,17 +176,20 @@ def _compile_predicate(
         _describe_operand(left, variable), op,
         _describe_operand(right, variable),
     )
-    # Key-vs-literal predicates double as min/max range facts.
-    if left[0] == "key" and right[0] == "lit" and not isinstance(
-        right[1], bool
-    ):
-        plan.range_predicates.append((left[1], value_op, right[1]))
-    elif right[0] == "key" and left[0] == "lit" and not isinstance(
-        left[1], bool
-    ):
-        plan.range_predicates.append(
-            (right[1], FLIPPED[value_op], left[1])
-        )
+    # A key-vs-literal predicate doubles as a min/max range fact, but
+    # only the leading one: a file that a later predicate rules out may
+    # still hold a row where an earlier one raises.
+    if not plan.predicates:
+        if left[0] == "key" and right[0] == "lit" and not isinstance(
+            right[1], bool
+        ):
+            plan.range_predicates.append((left[1], value_op, right[1]))
+        elif right[0] == "key" and left[0] == "lit" and not isinstance(
+            left[1], bool
+        ):
+            plan.range_predicates.append(
+                (right[1], FLIPPED[value_op], left[1])
+            )
     return PushedPredicate(
         keys, _make_raw(left, right, value_op), description,
         spec=(left, right, value_op),
@@ -235,14 +247,19 @@ def analyse(flwor: ast.FlworExpression) -> Optional[PushdownPlan]:
         for child in node.children():
             scan(child)
 
-    in_where_prefix = True
+    # The pushed predicates are the leading run of pushable where
+    # clauses: the first clause that cannot be pushed ends it, since a
+    # later predicate pruning a row would hide that clause's error.
+    in_where_prefix = predicates_allowed
     for clause in clauses[1:]:
         if isinstance(clause, ast.WhereClause):
-            if in_where_prefix and predicates_allowed:
+            if in_where_prefix:
                 predicate = _compile_predicate(
                     clause.condition, variable, plan
                 )
-                if predicate is not None:
+                if predicate is None:
+                    in_where_prefix = False
+                else:
                     plan.predicates.append(predicate)
             scan(clause.condition)
             continue
@@ -373,10 +390,12 @@ def _operands_match(found, spec) -> bool:
 
 def _tag_covered_wheres(head, return_iterator, plan: PushdownPlan) -> None:
     """Mark the where-clause iterators whose conditions were compiled
-    into pushed predicates.  A tagged clause may pass rows the scan
-    already proved definitely-true (``item.pushdown_verified``) without
-    re-evaluating its condition — the scan's three-valued verdict is
-    True only when the condition is guaranteed truthy and error-free.
+    into pushed predicates: the leading where clauses, the i-th one
+    covered by the i-th predicate.  A tagged clause may pass rows the
+    scan already proved definitely-true (``item.pushdown_verified``)
+    without re-evaluating its condition — the scan's three-valued
+    verdict is True only when the condition is guaranteed truthy and
+    error-free.
     """
     from repro.jsoniq.runtime.comparison import ComparisonIterator
     from repro.jsoniq.runtime.flwor.clauses import WhereClauseIterator
@@ -386,30 +405,26 @@ def _tag_covered_wheres(head, return_iterator, plan: PushdownPlan) -> None:
     while clause is not None and clause is not head:
         chain.append(clause)
         clause = getattr(clause, "input_clause", None)
-    remaining = list(plan.predicates)
     # Forward order: the where prefix sits directly after the head.
-    for clause in reversed(chain):
-        if not isinstance(clause, WhereClauseIterator) or not remaining:
+    for clause, predicate in zip(reversed(chain), plan.predicates):
+        if not isinstance(clause, WhereClauseIterator):
             break
         condition = clause.condition
         if not isinstance(condition, ComparisonIterator):
-            continue
+            break
         op = condition.op
         value_op = op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op)
-        left = _iterator_operand(condition.left, plan.variable)
-        right = _iterator_operand(condition.right, plan.variable)
-        for predicate in remaining:
-            if not predicate.spec:
-                continue
-            spec_left, spec_right, spec_op = predicate.spec
-            if (
-                value_op == spec_op
-                and _operands_match(left, spec_left)
-                and _operands_match(right, spec_right)
-            ):
-                clause.pushdown_plan = plan
-                remaining.remove(predicate)
-                break
+        spec_left, spec_right, spec_op = predicate.spec
+        if not (
+            value_op == spec_op
+            and _operands_match(
+                _iterator_operand(condition.left, plan.variable), spec_left)
+            and _operands_match(
+                _iterator_operand(condition.right, plan.variable),
+                spec_right)
+        ):
+            break
+        clause.pushdown_plan = plan
 
 
 def _rewrite_topk(flwor: ast.FlworExpression, return_iterator) -> None:

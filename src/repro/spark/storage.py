@@ -328,8 +328,11 @@ def _observe(keys: Dict[str, Dict[str, object]], key: str, value) -> None:
     else:
         family = "other"
     stat = keys.get(key)
+    # NaN is unordered: a key that holds one keeps no range, which could
+    # otherwise disprove a predicate (``ne``) the NaN row satisfies.
+    ranged = family == "string" or (family == "number" and value == value)
     if stat is None:
-        if family in ("string", "number"):
+        if ranged:
             keys[key] = {"type": family, "min": value, "max": value,
                          "count": 1}
         else:
@@ -338,6 +341,8 @@ def _observe(keys: Dict[str, Dict[str, object]], key: str, value) -> None:
     stat["count"] = stat.get("count", 0) + 1
     if stat["type"] != family:
         stat["type"] = "mixed"
+        ranged = False
+    if not ranged:
         stat.pop("min", None)
         stat.pop("max", None)
         return
@@ -380,9 +385,11 @@ def file_excluded(stats: dict, predicates) -> bool:
     predicates for every record of its file.
 
     ``predicates`` are ``(key, op, literal)`` facts with value-comparison
-    op names; they are conjunctive, so one disproved predicate excludes
-    the file.  Conservative in every unknown: mixed-type keys, missing
-    stats and unreliable sidecars never exclude.
+    op names, each of which may exclude the file alone (the pushdown
+    passes only its leading predicate's fact: a later one could hide an
+    earlier predicate's error on a row of the file).  Conservative in
+    every unknown: mixed-type keys, missing stats and unreliable
+    sidecars never exclude.
     """
     if stats.get("unreliable"):
         return False
@@ -404,18 +411,36 @@ def file_excluded(stats: dict, predicates) -> bool:
         # Records lacking the key fail the predicate anyway, so the range
         # over *present* values decides the file even when count < rows.
         low, high = stat["min"], stat["max"]
-        if op == "eq" and (literal < low or literal > high):
+        if family == "number":
+            # Two ints compare exactly, an int and a double as doubles
+            # (the comparison rule), and the sidecar does not say which
+            # the key holds: the range must be disproved both ways.
+            try:
+                if not _range_disproves(
+                    op, float(low), float(high), float(literal)
+                ):
+                    continue
+            except OverflowError:
+                continue
+        if _range_disproves(op, low, high, literal):
             return True
-        if op == "lt" and low >= literal:
-            return True
-        if op == "le" and low > literal:
-            return True
-        if op == "gt" and high <= literal:
-            return True
-        if op == "ge" and high < literal:
-            return True
-        if op == "ne" and low == high == literal:
-            return True
+    return False
+
+
+def _range_disproves(op: str, low, high, literal) -> bool:
+    """Whether no value in ``[low, high]`` satisfies ``value op literal``."""
+    if op == "eq":
+        return literal < low or literal > high
+    if op == "lt":
+        return low >= literal
+    if op == "le":
+        return low > literal
+    if op == "gt":
+        return high <= literal
+    if op == "ge":
+        return high < literal
+    if op == "ne":
+        return low == high == literal
     return False
 
 

@@ -87,6 +87,16 @@ GOLDEN_QUERIES = {
         'for $o in json-file("{path}")\n'
         'return $o'
     ),
+    # The serve benchmark's conjunction shape: the compiler splits the
+    # ``and`` into two where clauses, so both conjuncts are pushed and
+    # the count kernel runs over the masked scan.
+    "conjunction_pushed": (
+        'count(\n'
+        '  for $o in json-file("{path}")\n'
+        '  where $o.tag eq "a" and $o.v ne $o.w\n'
+        '  return $o\n'
+        ')'
+    ),
     # Pins the emitted whole-stage source itself: a map pipeline with a
     # guarded arithmetic, a column projection and an object constructor
     # (the "Generated stage" section shows the exact generated loop).
@@ -106,7 +116,7 @@ def data_path(tmp_path_factory):
     with open(str(path), "w", encoding="utf-8") as handle:
         for i in range(20):
             handle.write(json.dumps(
-                {"v": i, "tag": "a" if i % 2 else "b"}
+                {"v": i, "tag": "a" if i % 2 else "b", "w": i % 3}
             ) + "\n")
     return str(path)
 

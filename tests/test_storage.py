@@ -1,4 +1,5 @@
-"""Storage layer: URI schemes, block splitting, partitioned writes."""
+"""Storage layer: URI schemes, block splitting, partitioned writes,
+min/max stats sidecars."""
 
 import os
 
@@ -8,11 +9,14 @@ from repro.spark.storage import (
     FileBlock,
     FileSystemRegistry,
     StorageError,
+    file_excluded,
     list_input_files,
+    load_stats,
     split_file,
     split_input,
     split_uri,
     write_partitioned_text,
+    write_stats_sidecars,
     REGISTRY,
 )
 
@@ -157,3 +161,81 @@ class TestPartitionedWrite:
             assert os.path.exists(tmp_path / "sub" / "part-00000")
         finally:
             REGISTRY.unmount("testfs")
+
+
+class TestRangePruning:
+    """A sidecar excludes a file only when the comparison rule makes the
+    predicate false on every record of it."""
+
+    @staticmethod
+    def stats_of(tmp_path, lines):
+        path = tmp_path / "data.json"
+        path.write_text("".join(line + "\n" for line in lines))
+        write_stats_sidecars(str(path))
+        return str(path), load_stats(str(path))
+
+    def test_exact_ranges_still_exclude(self, tmp_path):
+        _, stats = self.stats_of(tmp_path, ['{"x":1}', '{"x":3}'])
+        assert file_excluded(stats, [("x", "eq", 7)])
+        assert file_excluded(stats, [("x", "eq", 7.0)])
+        assert file_excluded(stats, [("x", "gt", 3)])
+        assert not file_excluded(stats, [("x", "ge", 3)])
+        assert file_excluded(stats, [("missing", "eq", 1)])
+
+    def test_int_range_compares_with_a_double_as_doubles(self, tmp_path):
+        big = 2 ** 53 + 1
+        _, stats = self.stats_of(tmp_path, ['{{"x":{}}}'.format(big)])
+        # float(2**53 + 1) == 2**53: the reference finds them equal.
+        assert not file_excluded(stats, [("x", "eq", float(2 ** 53))])
+        assert not file_excluded(stats, [("x", "le", float(2 ** 53))])
+        assert file_excluded(stats, [("x", "lt", 2 ** 53 - 1)])
+        # The sidecar does not say whether the key holds doubles, so a
+        # range must be disproved as doubles too, even for an int.
+        assert not file_excluded(stats, [("x", "eq", 2 ** 53)])
+
+    def test_an_int_too_big_for_a_double_never_excludes(self, tmp_path):
+        _, stats = self.stats_of(tmp_path, ['{"x":1}'])
+        assert not file_excluded(stats, [("x", "eq", 10 ** 400)])
+
+    @pytest.mark.parametrize("lines", [
+        ['{"x":5}', '{"x":NaN}'],
+        ['{"x":NaN}', '{"x":5}'],
+    ])
+    def test_nan_leaves_no_range(self, tmp_path, lines):
+        _, stats = self.stats_of(tmp_path, lines)
+        assert "min" not in stats["keys"]["x"]
+        # NaN ne 5 is true: the file must be read.
+        assert not file_excluded(stats, [("x", "ne", 5)])
+
+    @pytest.mark.parametrize("query, expected", [
+        ('count(for $i in json-file("{}") where $i.x eq 9007199254740992e0 '
+         'return $i)', [1]),
+        ('count(for $i in json-file("{}") where $i.x ne 5 return $i)', [1]),
+    ])
+    def test_pruned_scans_answer_like_the_reference(self, tmp_path, query,
+                                                    expected):
+        from repro.core import make_engine
+
+        lines = (['{"x":9007199254740993}'] if "e0" in query
+                 else ['{"x":5}', '{"x":NaN}'])
+        path, _ = self.stats_of(tmp_path, lines)
+        for pushdown in (False, True):
+            engine = make_engine(executors=1, parallelism=1,
+                                 pushdown=pushdown)
+            assert engine.query(query.format(path)).to_python() == expected
+
+    def test_only_the_leading_predicate_may_exclude(self, tmp_path):
+        """``y eq "z"`` is false on the whole file, but the reference
+        raises on ``x eq 1`` first: pruning the file would hide it."""
+        from repro.core import make_engine
+        from repro.jsoniq.errors import TypeException
+
+        path, stats = self.stats_of(tmp_path, ['{"x":"a","y":"w"}'])
+        assert file_excluded(stats, [("y", "eq", "z")])
+        query = ('count(for $i in json-file("{}") where $i.x eq 1 '
+                 'where $i.y eq "z" return $i)').format(path)
+        for pushdown in (False, True):
+            engine = make_engine(executors=1, parallelism=1,
+                                 pushdown=pushdown)
+            with pytest.raises(TypeException):
+                engine.query(query).to_python()
